@@ -173,10 +173,11 @@ func main() {
 		fmt.Printf("\n%d rows in %v via %s (exec on %s)\n",
 			len(res.Rows), total.Round(time.Millisecond), *system, res.RootNode)
 		bd := res.Breakdown
-		fmt.Printf("phases: prep=%v lopt=%v ann=%v deleg=%v exec=%v (consult rounds: %d, ddls: %d, plan cache hit: %v)\n",
+		fmt.Printf("phases: prep=%v lopt=%v ann=%v deleg=%v exec=%v cleanup=%v (consult rounds: %d, ddls: %d, plan cache hit: %v)\n",
 			bd.Prep.Round(time.Millisecond), bd.Lopt.Round(time.Microsecond),
 			bd.Ann.Round(time.Millisecond), bd.Deleg.Round(time.Millisecond),
-			bd.Exec.Round(time.Millisecond), bd.ConsultRounds, bd.DDLCount, bd.PlanCacheHit)
+			bd.Exec.Round(time.Millisecond), bd.Cleanup.Round(time.Millisecond),
+			bd.ConsultRounds, bd.DDLCount, bd.PlanCacheHit)
 		if bd.Replans > 0 || bd.MediatorFallback {
 			fmt.Printf("failover: replans=%d failed_over=%v mediator_fallback=%v\n",
 				bd.Replans, bd.FailedOver, bd.MediatorFallback)

@@ -71,7 +71,8 @@ func main() {
 	fmt.Print(res.Plan)
 	fmt.Printf("\nXDB query (executed by the client on %s): %s\n\n", res.RootNode, res.XDBQuery)
 	fmt.Println(xdb.FormatResult(res.Result))
-	fmt.Printf("phases: prep=%v lopt=%v ann=%v deleg=%v exec=%v (consult rounds: %d)\n",
+	fmt.Printf("phases: prep=%v lopt=%v ann=%v deleg=%v exec=%v cleanup=%v (consult rounds: %d)\n",
 		res.Breakdown.Prep, res.Breakdown.Lopt, res.Breakdown.Ann,
-		res.Breakdown.Deleg, res.Breakdown.Exec, res.Breakdown.ConsultRounds)
+		res.Breakdown.Deleg, res.Breakdown.Exec, res.Breakdown.Cleanup,
+		res.Breakdown.ConsultRounds)
 }

@@ -248,11 +248,16 @@ type placeDecision struct {
 
 // evalCandidate prices one candidate site of a Rule-4 decision: movement
 // costs for the remote inputs plus the cheapest movement combination's
-// join cost at the candidate. The memo dedupes probes within the decision
-// — movement combinations share scan and stream-join consultations, and
-// issuing each once is both correct and one fewer round trip.
+// join cost at the candidate. Every probe the combinations need is known
+// before any answer arrives — the join (or stream-join) probe of each
+// combination plus the scan probe of each explicit side — so the distinct
+// ones are issued concurrently (serially under Options.SerialAnnotation)
+// and the combinations are reduced over the answers afterwards. The memo
+// dedupes probes within the candidate: combinations share scan and
+// stream-join consultations, and issuing each once is both correct and
+// one fewer round trip. Repeated probes are served from the memo in the
+// reduction, so the consult and cached counts match a serial evaluation.
 func (a *Annotation) evalCandidate(ctx context.Context, j *Join, coster Coster, opts Options, cand, ln, rn string) placeDecision {
-	memo := map[consultKey]float64{}
 	d := placeDecision{node: cand, moveL: MoveImplicit, moveR: MoveImplicit}
 	var total float64
 
@@ -277,19 +282,54 @@ func (a *Annotation) evalCandidate(ctx context.Context, j *Join, coster Coster, 
 		}
 	}
 
-	// Join cost at the candidate under each movement combination of the
-	// remote sides; pick the cheapest combination.
-	bestJoin := math.Inf(1)
-	var bestMoves [2]Movement
-	for _, combo := range movementCombos(sides[0].local, sides[1].local, opts.ForceMovement) {
-		jc := a.joinCostAt(ctx, coster, memo, cand, j, sides[0].op, sides[1].op, combo[0] == MoveImplicit && !sides[0].local, combo[1] == MoveImplicit && !sides[1].local)
-		// Explicit sides pay the materialization write plus the scan of
-		// the stored copy (Eq. 3's scanCost term; the write is the same
-		// volume).
+	// The probes of each movement combination of the remote sides: the
+	// join cost at the candidate first, then the scan of every explicit
+	// side's stored copy.
+	combos := movementCombos(sides[0].local, sides[1].local, opts.ForceMovement)
+	probes := make([][]consultKey, len(combos))
+	var distinct []consultKey
+	seen := map[consultKey]bool{}
+	for ci, combo := range combos {
+		keys := []consultKey{joinProbeKey(cand, j, sides[0].op, sides[1].op,
+			combo[0] == MoveImplicit && !sides[0].local, combo[1] == MoveImplicit && !sides[1].local)}
 		for i, mv := range combo {
 			if !sides[i].local && mv == MoveExplicit {
-				jc += 2 * a.probe(ctx, coster, memo, cand, engine.CostScan, sides[i].op.Est(), 0, 0)
+				keys = append(keys, consultKey{node: cand, kind: engine.CostScan, left: sides[i].op.Est()})
 			}
+		}
+		for _, k := range keys {
+			if !seen[k] {
+				seen[k] = true
+				distinct = append(distinct, k)
+			}
+		}
+		probes[ci] = keys
+	}
+	memo := &probeMemo{m: map[consultKey]float64{}}
+	answers := a.probeAll(ctx, coster, memo, distinct, opts.SerialAnnotation)
+
+	// Join cost at the candidate under each movement combination; pick
+	// the cheapest. A probe's first use takes its prefetched answer; a
+	// repeat asks the memo, exactly as a serial evaluation would.
+	bestJoin := math.Inf(1)
+	var bestMoves [2]Movement
+	for ci, combo := range combos {
+		var jc float64
+		for pi, k := range probes[ci] {
+			c, first := answers[k]
+			if first {
+				delete(answers, k)
+			} else {
+				c = a.probe(ctx, coster, memo, k)
+			}
+			if pi == 0 {
+				jc += c
+				continue
+			}
+			// Explicit sides pay the materialization write plus the scan
+			// of the stored copy (Eq. 3's scanCost term; the write is the
+			// same volume).
+			jc += 2 * c
 		}
 		if jc < bestJoin {
 			bestJoin = jc
@@ -300,6 +340,52 @@ func (a *Annotation) evalCandidate(ctx context.Context, j *Join, coster Coster, 
 	d.moveL, d.moveR = bestMoves[0], bestMoves[1]
 	d.cost = total
 	return d
+}
+
+// probeAll issues one candidate's distinct probes — concurrently unless
+// serial — and returns their answers by key.
+func (a *Annotation) probeAll(ctx context.Context, coster Coster, memo *probeMemo, keys []consultKey, serial bool) map[consultKey]float64 {
+	vals := make([]float64, len(keys))
+	if serial || len(keys) < 2 {
+		for i, k := range keys {
+			vals[i] = a.probe(ctx, coster, memo, k)
+		}
+	} else {
+		var wg sync.WaitGroup
+		for i, k := range keys {
+			wg.Add(1)
+			go func(i int, k consultKey) {
+				defer wg.Done()
+				vals[i] = a.probe(ctx, coster, memo, k)
+			}(i, k)
+		}
+		wg.Wait()
+	}
+	out := make(map[consultKey]float64, len(keys))
+	for i, k := range keys {
+		out[k] = vals[i]
+	}
+	return out
+}
+
+// probeMemo is one candidate's probe dedupe, shared by its concurrent
+// probes.
+type probeMemo struct {
+	mu sync.Mutex
+	m  map[consultKey]float64
+}
+
+func (m *probeMemo) get(k consultKey) (float64, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	v, ok := m.m[k]
+	return v, ok
+}
+
+func (m *probeMemo) put(k consultKey, v float64) {
+	m.mu.Lock()
+	m.m[k] = v
+	m.mu.Unlock()
 }
 
 // moveVerdict spells a movement out for trace attributes.
@@ -331,12 +417,10 @@ func movementCombos(lLocal, rLocal bool, force Movement) [][2]Movement {
 	return out
 }
 
-// joinCostAt consults the candidate DBMS for the join cost given which
-// inputs arrive as streams.
-func (a *Annotation) joinCostAt(ctx context.Context, coster Coster, memo map[consultKey]float64, cand string, j *Join, l, r Op, lStream, rStream bool) float64 {
-	out := j.Est()
-	var kind engine.CostKind
-	var left, right float64
+// joinProbeKey is the consultation that prices the join at the candidate
+// DBMS given which inputs arrive as streams.
+func joinProbeKey(cand string, j *Join, l, r Op, lStream, rStream bool) consultKey {
+	k := consultKey{node: cand, out: j.Est()}
 	switch {
 	case lStream && rStream:
 		// Both inputs stream (only possible with the full candidate set):
@@ -347,15 +431,15 @@ func (a *Annotation) joinCostAt(ctx context.Context, coster Coster, memo map[con
 		if big < small {
 			big, small = small, big
 		}
-		kind, left, right = engine.CostJoinStream, big, small
+		k.kind, k.left, k.right = engine.CostJoinStream, big, small
 	case lStream:
-		kind, left, right = engine.CostJoinStream, l.Est(), r.Est()
+		k.kind, k.left, k.right = engine.CostJoinStream, l.Est(), r.Est()
 	case rStream:
-		kind, left, right = engine.CostJoinStream, r.Est(), l.Est()
+		k.kind, k.left, k.right = engine.CostJoinStream, r.Est(), l.Est()
 	default:
-		kind, left, right = engine.CostJoin, l.Est(), r.Est()
+		k.kind, k.left, k.right = engine.CostJoin, l.Est(), r.Est()
 	}
-	return a.probe(ctx, coster, memo, cand, kind, left, right, out)
+	return k
 }
 
 // probe consults one DBMS for an operator cost, falling back to the local
@@ -369,7 +453,8 @@ func (a *Annotation) joinCostAt(ctx context.Context, coster Coster, memo map[con
 // CachedProbes with span outcome=cached. Failed probes memoize their
 // local fallback within the decision — re-asking a node that just failed
 // would only burn another round trip — but never reach the shared cache.
-func (a *Annotation) probe(ctx context.Context, coster Coster, memo map[consultKey]float64, node string, kind engine.CostKind, left, right, out float64) float64 {
+func (a *Annotation) probe(ctx context.Context, coster Coster, memo *probeMemo, key consultKey) float64 {
+	node, kind, left, right, out := key.node, key.kind, key.left, key.right, key.out
 	sp := obs.SpanFrom(ctx).Child("probe")
 	sp.Set("node", node)
 	sp.Set("kind", string(kind))
@@ -379,20 +464,15 @@ func (a *Annotation) probe(ctx context.Context, coster Coster, memo map[consultK
 		sp.Finish()
 		return localCost(kind, left, right, out)
 	}
-	key := consultKey{node: node, kind: kind, left: left, right: right, out: out}
-	if memo != nil {
-		if v, ok := memo[key]; ok {
-			a.addCached()
-			sp.Set("outcome", "cached")
-			sp.Finish()
-			return v
-		}
+	if v, ok := memo.get(key); ok {
+		a.addCached()
+		sp.Set("outcome", "cached")
+		sp.Finish()
+		return v
 	}
 	if a.cache != nil {
 		if v, ok := a.cache.LookupCost(node, kind, left, right, out); ok {
-			if memo != nil {
-				memo[key] = v
-			}
+			memo.put(key, v)
 			a.addCached()
 			sp.Set("outcome", "cached")
 			sp.Finish()
@@ -406,17 +486,13 @@ func (a *Annotation) probe(ctx context.Context, coster Coster, memo map[consultK
 	if err != nil {
 		a.addDegraded(1)
 		c = localCost(kind, left, right, out)
-		if memo != nil {
-			memo[key] = c
-		}
+		memo.put(key, c)
 		sp.Set("outcome", "degraded_error")
 		sp.SetErr(err)
 		sp.Finish()
 		return c
 	}
-	if memo != nil {
-		memo[key] = c
-	}
+	memo.put(key, c)
 	if a.cache != nil {
 		a.cache.StoreCost(node, kind, left, right, out, c)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -225,7 +226,8 @@ func (s *System) processTask(ctx context.Context, plan *Plan, t *Task, qid int64
 	if obj, ok := run.reuse[sig]; ok {
 		// The identical fragment survives from a prior attempt: adopt its
 		// virtual relation and skip the whole subtree. The drop stays
-		// owned by the attempt that deployed it.
+		// owned by the attempt that deployed it. deployRun.viewName must
+		// pick the same names as this function.
 		run.dep.recordObject(sig, obj)
 		t.ViewName = obj.name
 		return obj.name, nil
@@ -247,7 +249,7 @@ func (s *System) processTask(ctx context.Context, plan *Plan, t *Task, qid int64
 	if err != nil {
 		return "", err
 	}
-	viewName := fmt.Sprintf("xdb%d_t%d", qid, t.ID)
+	viewName := freshViewName(qid, t)
 	release, err := s.nodes.acquire(ctx, t.Node, 1)
 	if err != nil {
 		return "", fmt.Errorf("core: deploy view %s on %s: %w", viewName, t.Node, err)
@@ -330,8 +332,29 @@ feed:
 	return firstErr
 }
 
+// freshViewName names the virtual relation a task deploys.
+func freshViewName(qid int64, t *Task) string {
+	return fmt.Sprintf("xdb%d_t%d", qid, t.ID)
+}
+
+// viewName resolves the name of a task's virtual relation before it is
+// deployed: the object adopted from a prior attempt, else a fresh name.
+// processTask settles on the same name.
+func (run *deployRun) viewName(qid int64, t *Task) string {
+	if obj, ok := run.reuse[taskSig(t)]; ok {
+		return obj.name
+	}
+	return freshViewName(qid, t)
+}
+
 // deployInput wires one dataflow edge: the producing subtree, the SQL/MED
-// server registration, and the foreign table on the consumer.
+// server registration, and the foreign table on the consumer. A foreign
+// table does not need its producer's view to exist yet — CREATE FOREIGN
+// TABLE only checks the local server, and an explicit table fills on its
+// first scan — so once the child's view name is resolved, the subtree
+// deploys concurrently with the server and foreign-table DDL. The
+// consumer's CREATE VIEW still waits for all of its inputs. The first
+// failure cancels the other branch and is the one returned.
 func (s *System) deployInput(ctx context.Context, plan *Plan, t *Task, edge *Edge, qid int64, run *deployRun) error {
 	sig := edgeSig(t, edge)
 	if obj, ok := run.reuse[sig]; ok {
@@ -354,10 +377,19 @@ func (s *System) deployInput(ctx context.Context, plan *Plan, t *Task, edge *Edg
 	if s.opts.NoVirtualRelations && isBareScan(edge.From) {
 		return s.deployRawForeign(ctx, t, edge, qid, run)
 	}
-	childView, err := s.processTask(ctx, plan, edge.From, qid, run)
-	if err != nil {
-		return err
-	}
+	childView := run.viewName(qid, edge.From)
+	return fanOutFirstErr(ctx, 2, func(ctx context.Context, i int) error {
+		if i == 0 {
+			_, err := s.processTask(ctx, plan, edge.From, qid, run)
+			return err
+		}
+		return s.deployEdgeForeign(ctx, t, edge, qid, run, childView)
+	})
+}
+
+// deployEdgeForeign issues an edge's consumer-side DDL: the SQL/MED server
+// registration and the foreign table over the producer's view.
+func (s *System) deployEdgeForeign(ctx context.Context, t *Task, edge *Edge, qid int64, run *deployRun, childView string) error {
 	conn := s.connectors[t.Node]
 	childConn := s.connectors[edge.From.Node]
 
@@ -376,12 +408,11 @@ func (s *System) deployInput(ctx context.Context, plan *Plan, t *Task, edge *Edg
 		cols[i] = sqltypes.Column{Name: MangleCol(gid), Type: edge.Placeholder.Types[i]}
 	}
 	materialize := edge.Move == MoveExplicit
-	err = s.deployForeign(ctx, conn, t.Node, ftName, cols, serverName, childView, materialize)
-	if err != nil {
+	if err := s.deployForeign(ctx, conn, t.Node, ftName, cols, serverName, childView, materialize); err != nil {
 		return err
 	}
 	run.dep.record(cleanupItem{node: t.Node, sql: conn.Dialect.DropTable(ftName)}, 1)
-	run.dep.recordObject(sig, deployedObj{
+	run.dep.recordObject(edgeSig(t, edge), deployedObj{
 		name: ftName, node: t.Node, materialized: materialize,
 		nodes: ftDepNodes(t, edge, materialize),
 	})
@@ -613,16 +644,18 @@ func ftDepNodes(t *Task, e *Edge, materialized bool) []string {
 }
 
 // cleanupDeployment drops the query's short-lived relations in reverse
-// creation order. Each drop is individually bounded by CleanupTimeout
-// (falling back to RequestTimeout), so a dead or hung node cannot stall
-// the sweep, and a node whose breaker is open is skipped without burning
-// its timeout. Errors are collected but do not stop the sweep; failed
-// items are RETAINED — on the deployment (so a direct retry is possible)
-// and in the system's orphan registry, where the janitor retries them on
-// node recovery or an explicit SweepOrphans. The returned error names the
-// node and statement of every failed drop. The caller's context is used
-// only to attach the "cleanup" trace span; the drops themselves run on
-// detached per-drop contexts so a cancelled query still cleans up.
+// creation order on each node; the nodes sweep concurrently, since drops
+// on different DBMSes do not depend on one another. Each drop is
+// individually bounded by CleanupTimeout (falling back to RequestTimeout),
+// so a dead or hung node cannot stall the sweep, and a node whose breaker
+// is open is skipped without burning its timeout. Errors are collected but
+// do not stop the sweep; failed items are RETAINED — on the deployment (so
+// a direct retry is possible) and in the system's orphan registry, where
+// the janitor retries them on node recovery or an explicit SweepOrphans.
+// The returned error names the node and statement of every failed drop,
+// in reverse creation order. The caller's context is used only to attach
+// the "cleanup" trace span; the drops themselves run on detached per-drop
+// contexts so a cancelled query still cleans up.
 func (s *System) cleanupDeployment(qctx context.Context, dep *Deployment) (err error) {
 	sp := obs.SpanFrom(qctx).Child("cleanup")
 	dep.mu.Lock()
@@ -635,28 +668,36 @@ func (s *System) cleanupDeployment(qctx context.Context, dep *Deployment) (err e
 		sp.Finish()
 	}()
 
+	// Group the item indexes by node, each group in reverse creation
+	// order, and sweep the groups concurrently. Outcomes land by index.
+	var nodes []string
+	byNode := map[string][]int{}
+	for i := len(items) - 1; i >= 0; i-- {
+		n := items[i].node
+		if _, ok := byNode[n]; !ok {
+			nodes = append(nodes, n)
+		}
+		byNode[n] = append(byNode[n], i)
+	}
+	itemErrs := make([]error, len(items))
+	var wg sync.WaitGroup
+	for _, n := range nodes {
+		wg.Add(1)
+		go func(idx []int) {
+			defer wg.Done()
+			for _, i := range idx {
+				itemErrs[i] = s.dropItem(items[i])
+			}
+		}(byNode[n])
+	}
+	wg.Wait()
+
 	var errs []string
 	var failed []cleanupItem
 	for i := len(items) - 1; i >= 0; i-- {
-		item := items[i]
-		conn, ok := s.connectors[item.node]
-		if !ok {
-			failed = append(failed, item)
-			s.orphans.add(item.node, item.sql, "no connector registered")
-			errs = append(errs, fmt.Sprintf("%s on %s: no connector registered", item.sql, item.node))
-			continue
-		}
-		var err error
-		if err = s.health.allow(item.node); err == nil {
-			ctx, cancel := s.cleanupCtx()
-			err = conn.Exec(ctx, item.sql)
-			cancel()
-			s.health.record(item.node, err)
-		}
-		if err != nil {
-			failed = append(failed, item)
-			s.orphans.add(item.node, item.sql, err.Error())
-			errs = append(errs, fmt.Sprintf("%s on %s: %v", item.sql, item.node, err))
+		if e := itemErrs[i]; e != nil {
+			failed = append(failed, items[i])
+			errs = append(errs, fmt.Sprintf("%s on %s: %v", items[i].sql, items[i].node, e))
 		}
 	}
 	if len(failed) > 0 {
@@ -670,4 +711,23 @@ func (s *System) cleanupDeployment(qctx context.Context, dep *Deployment) (err e
 		return fmt.Errorf("core: cleanup: %s", strings.Join(errs, "; "))
 	}
 	return nil
+}
+
+// dropItem issues one cleanup DROP — unless the node has no connector or
+// an open breaker — and parks the item in the orphan registry when it
+// fails.
+func (s *System) dropItem(item cleanupItem) error {
+	err := errors.New("no connector registered")
+	if conn, ok := s.connectors[item.node]; ok {
+		if err = s.health.allow(item.node); err == nil {
+			ctx, cancel := s.cleanupCtx()
+			err = conn.Exec(ctx, item.sql)
+			cancel()
+			s.health.record(item.node, err)
+		}
+	}
+	if err != nil {
+		s.orphans.add(item.node, item.sql, err.Error())
+	}
+	return err
 }

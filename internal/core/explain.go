@@ -79,10 +79,10 @@ func (r *Result) Analyze() string {
 	if bd.Queued {
 		b.WriteString(" (queued)")
 	}
-	fmt.Fprintf(&b, "\n  prep %v, lopt %v, ann %v, deleg %v, exec %v\n",
+	fmt.Fprintf(&b, "\n  prep %v, lopt %v, ann %v, deleg %v, exec %v, cleanup %v\n",
 		bd.Prep.Round(time.Microsecond), bd.Lopt.Round(time.Microsecond),
 		bd.Ann.Round(time.Microsecond), bd.Deleg.Round(time.Microsecond),
-		bd.Exec.Round(time.Microsecond))
+		bd.Exec.Round(time.Microsecond), bd.Cleanup.Round(time.Microsecond))
 	fmt.Fprintf(&b, "  consult rounds %d (degraded %d, cached %d), ddls %d\n",
 		bd.ConsultRounds, bd.DegradedProbes, bd.CachedProbes, bd.DDLCount)
 

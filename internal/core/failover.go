@@ -233,6 +233,7 @@ func (s *System) runWithFailover(ctx context.Context, qspan *obs.Span, sql, cach
 	// cleanupOwned drops the failed attempts' deployments, newest first —
 	// a later attempt's objects may reference an earlier attempt's.
 	cleanupOwned := func() error {
+		defer func(start time.Time) { bd.Cleanup += time.Since(start) }(time.Now())
 		var errs []error
 		if prior != nil {
 			if cerr := s.cleanupDeployment(ctx, prior); cerr != nil {
@@ -261,12 +262,13 @@ func (s *System) runWithFailover(ctx context.Context, qspan *obs.Span, sql, cach
 				bd.MediatorFallback = true
 				met.replans.With("fallback").Inc()
 				met.failovers.Inc()
+				cleanupErr := cleanupOwned()
 				return &Result{
 					Result:     eres,
 					Plan:       plan,
 					Breakdown:  *bd,
 					RootNode:   s.node,
-					CleanupErr: cleanupOwned(),
+					CleanupErr: cleanupErr,
 					Trace:      qspan,
 					Flows:      inf.flowsSnapshot(),
 				}, nil
@@ -475,6 +477,7 @@ func (s *System) runWithFailover(ctx context.Context, qspan *obs.Span, sql, cach
 			// execution pulled over the wire — the flow-accounting
 			// counterpart of the explicit-movement barriers (reopt.go).
 			s.feedImplicitFlows(inf, plan, dep.QID)
+			cstart := time.Now()
 			var cleanupErr error
 			if ent != nil {
 				// Cached entry: return the lease; the last lease out of a
@@ -488,6 +491,7 @@ func (s *System) runWithFailover(ctx context.Context, qspan *obs.Span, sql, cach
 			// usedFallback: dep was already retired into the owned chain
 			// (cleanupOwned drops it below), or is still leased by another
 			// query whose release owns the drop.
+			bd.Cleanup += time.Since(cstart)
 			if cerr := cleanupOwned(); cerr != nil {
 				cleanupErr = errors.Join(cleanupErr, cerr)
 			}

@@ -280,13 +280,18 @@ func (s *System) RegisterTable(table, node string) error {
 
 // Breakdown is the per-phase timing of one query (Fig. 15): preparation
 // (parse + metadata gathering), logical optimization, annotation and
-// finalization, delegation (DDL deployment), and execution.
+// finalization, delegation (DDL deployment), execution, and the cleanup
+// that drops the query's short-lived relations.
 type Breakdown struct {
 	Prep  time.Duration
 	Lopt  time.Duration
 	Ann   time.Duration
 	Deleg time.Duration
 	Exec  time.Duration
+	// Cleanup is the time spent dropping the query's deployed objects
+	// (and any retired failover attempt's) once it finished; near zero
+	// on a warm plan-cache hit, whose deployment stays leased.
+	Cleanup time.Duration
 	// ConsultRounds counts the annotation phase's consultation round
 	// trips to the underlying DBMSes.
 	ConsultRounds int
@@ -352,10 +357,10 @@ func (b Breakdown) Total() time.Duration {
 }
 
 // Work returns the time the middleware actively spent on the query
-// (planning, delegation, execution), excluding the admission wait — the
-// Fig. 15 phase sum.
+// (planning, delegation, execution, cleanup), excluding the admission
+// wait — the Fig. 15 phase sum plus the drops.
 func (b Breakdown) Work() time.Duration {
-	return b.Prep + b.Lopt + b.Ann + b.Deleg + b.Exec
+	return b.Prep + b.Lopt + b.Ann + b.Deleg + b.Exec + b.Cleanup
 }
 
 // Coster implementation: the annotator consults through the system's
@@ -909,6 +914,7 @@ func (s *System) logSlowQuery(sql string, wall time.Duration, bd *Breakdown, pla
 		"annotate", bd.Ann,
 		"delegate", bd.Deleg,
 		"execute", bd.Exec,
+		"cleanup", bd.Cleanup,
 		"consult_rounds", bd.ConsultRounds,
 		"ddl_count", bd.DDLCount,
 	}

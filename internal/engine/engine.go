@@ -136,7 +136,7 @@ func (e *Engine) Query(sql string) (*sqltypes.Schema, RowIter, error) {
 
 // QuerySelect is Query for a pre-parsed statement.
 func (e *Engine) QuerySelect(sel *sqlparser.Select) (*sqltypes.Schema, RowIter, error) {
-	node, err := e.planSelect(sel)
+	node, err := e.planSelect(sel, false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -330,7 +330,7 @@ func (e *Engine) Explain(sql string) (*ExplainInfo, error) {
 	if !ok {
 		return nil, fmt.Errorf("engine %s: EXPLAIN supports only SELECT", e.name)
 	}
-	node, err := e.planSelect(sel)
+	node, err := e.planSelect(sel, false)
 	if err != nil {
 		return nil, err
 	}
@@ -360,7 +360,7 @@ func (e *Engine) Stats(table string) (*TableStats, error) {
 		return e.skewed(table, t.Stats), nil
 	}
 	if v, ok := e.catalog.View(table); ok {
-		node, err := e.planSelect(v.Query)
+		node, err := e.planSelect(v.Query, false)
 		if err != nil {
 			return nil, err
 		}

@@ -43,8 +43,11 @@ type relNode struct {
 	node  *planNode
 }
 
-// planSelect builds the physical plan for a SELECT.
-func (e *Engine) planSelect(sel *sqlparser.Select) (*planNode, error) {
+// planSelect builds the physical plan for a SELECT. With schemaOnly the
+// plan is never opened — only its schema is wanted (CREATE VIEW) — so
+// foreign scans take a local placeholder estimate instead of asking their
+// server for statistics: deriving a schema makes no remote round trip.
+func (e *Engine) planSelect(sel *sqlparser.Select, schemaOnly bool) (*planNode, error) {
 	if len(sel.From) == 0 {
 		return e.planConstSelect(sel)
 	}
@@ -55,7 +58,7 @@ func (e *Engine) planSelect(sel *sqlparser.Select) (*planNode, error) {
 		if ref.DB != "" && !strings.EqualFold(ref.DB, e.name) {
 			return nil, fmt.Errorf("engine %s: cross-database reference %s.%s (only XDB resolves these)", e.name, ref.DB, ref.Name)
 		}
-		node, err := e.planRelation(ref)
+		node, err := e.planRelation(ref, schemaOnly)
 		if err != nil {
 			return nil, err
 		}
@@ -281,7 +284,7 @@ func (e *Engine) planConstSelect(sel *sqlparser.Select) (*planNode, error) {
 
 // planRelation resolves one FROM entry to a plan over a base table, a
 // view, or a foreign table.
-func (e *Engine) planRelation(ref sqlparser.TableRef) (*planNode, error) {
+func (e *Engine) planRelation(ref sqlparser.TableRef, schemaOnly bool) (*planNode, error) {
 	alias := ref.EffectiveAlias()
 	if t, ok := e.catalog.Table(ref.Name); ok {
 		schema := aliasSchema(t.Schema, alias)
@@ -298,7 +301,7 @@ func (e *Engine) planRelation(ref sqlparser.TableRef) (*planNode, error) {
 		}, nil
 	}
 	if v, ok := e.catalog.View(ref.Name); ok {
-		inner, err := e.planSelect(v.Query)
+		inner, err := e.planSelect(v.Query, schemaOnly)
 		if err != nil {
 			return nil, fmt.Errorf("view %s: %w", v.Name, err)
 		}
@@ -313,7 +316,7 @@ func (e *Engine) planRelation(ref sqlparser.TableRef) (*planNode, error) {
 		}, nil
 	}
 	if f, ok := e.catalog.Foreign(ref.Name); ok {
-		return e.planForeignScan(f, alias)
+		return e.planForeignScan(f, alias, schemaOnly)
 	}
 	return nil, fmt.Errorf("engine %s: unknown relation %q", e.name, ref.Name)
 }
@@ -321,8 +324,9 @@ func (e *Engine) planRelation(ref sqlparser.TableRef) (*planNode, error) {
 // planForeignScan builds the SQL/MED remote fetch. The remote query is
 // always SELECT * FROM <remote> — the paper's delegation scheme arranges
 // for the remote relation to already be the right virtual relation, so the
-// wrapper never needs to push anything down (Sec. V).
-func (e *Engine) planForeignScan(f *ForeignTable, alias string) (*planNode, error) {
+// wrapper never needs to push anything down (Sec. V). With schemaOnly the
+// row estimate is the local placeholder, not the remote's statistics.
+func (e *Engine) planForeignScan(f *ForeignTable, alias string, schemaOnly bool) (*planNode, error) {
 	srv, ok := e.catalog.Server(f.Server)
 	if !ok {
 		return nil, fmt.Errorf("engine %s: foreign table %s references unknown server %q", e.name, f.Name, f.Server)
@@ -332,7 +336,10 @@ func (e *Engine) planForeignScan(f *ForeignTable, alias string) (*planNode, erro
 	}
 	schema := aliasSchema(f.Schema, alias)
 	remoteSQL := "SELECT * FROM " + f.RemoteTable
-	est := e.foreignEstimate(srv, f.RemoteTable)
+	est := float64(defaultForeignEst)
+	if !schemaOnly {
+		est = e.foreignEstimate(srv, f.RemoteTable)
+	}
 	rq := e.remote
 	desc := fmt.Sprintf("ForeignScan %s (server %s, remote %s)", f.Name, f.Server, f.RemoteTable)
 	open := func() (RowIter, error) {
@@ -386,17 +393,21 @@ func (f *ForeignTable) materialized(rq RemoteQuerier, srv *Server, remoteSQL str
 	return rows, nil
 }
 
+// defaultForeignEst is the row estimate of a foreign scan whose remote
+// statistics are unknown or not fetched.
+const defaultForeignEst = 1000
+
 // foreignEstimate asks the remote for a row-count estimate; failures fall
 // back to a default guess (the planner must not fail because a peer is
 // temporarily unreachable).
 func (e *Engine) foreignEstimate(srv *Server, remoteTable string) float64 {
 	if e.remote == nil {
-		return 1000
+		return defaultForeignEst
 	}
 	if st, err := e.remote.StatsRemote(srv, remoteTable); err == nil && st != nil {
 		return float64(st.RowCount)
 	}
-	return 1000
+	return defaultForeignEst
 }
 
 // planFilter wraps a node with a predicate, folding it into a scan when the

@@ -16,7 +16,7 @@ import (
 // projection computes the final output expressions over that intermediate
 // schema (each aggregate call rewritten to a positional reference).
 func (e *Engine) planProjection(in *planNode, sel *sqlparser.Select) (*planNode, error) {
-	projections, err := expandStars(sel.Projections, in.schema)
+	projections, err := expandStars(sel.Projections, sel.From, in.schema)
 	if err != nil {
 		return nil, err
 	}
@@ -307,24 +307,35 @@ func substituteAlias(e sqlparser.Expr, projections []sqlparser.SelectExpr) sqlpa
 	return c
 }
 
-// expandStars replaces * and t.* projections with explicit column
-// references.
-func expandStars(projections []sqlparser.SelectExpr, schema *sqltypes.Schema) ([]sqlparser.SelectExpr, error) {
+// expandStars replaces * and t.* projections with qualified column
+// references. A bare * expands relation by relation in FROM order, not in
+// the joined schema's order: the join order follows the estimates, and a
+// view's stored schema must not depend on them.
+func expandStars(projections []sqlparser.SelectExpr, from []sqlparser.TableRef, schema *sqltypes.Schema) ([]sqlparser.SelectExpr, error) {
 	var out []sqlparser.SelectExpr
 	for _, p := range projections {
 		if !p.Star {
 			out = append(out, p)
 			continue
 		}
-		matched := false
-		for _, c := range schema.Columns {
-			if p.StarTable != "" && !strings.EqualFold(c.Table, p.StarTable) {
-				continue
+		tables := []string{p.StarTable}
+		if p.StarTable == "" {
+			tables = tables[:0]
+			for _, ref := range from {
+				tables = append(tables, ref.EffectiveAlias())
 			}
-			matched = true
-			out = append(out, sqlparser.SelectExpr{
-				Expr: &sqlparser.ColumnRef{Table: c.Table, Name: c.Name},
-			})
+		}
+		matched := false
+		for _, table := range tables {
+			for _, c := range schema.Columns {
+				if !strings.EqualFold(c.Table, table) {
+					continue
+				}
+				matched = true
+				out = append(out, sqlparser.SelectExpr{
+					Expr: &sqlparser.ColumnRef{Table: c.Table, Name: c.Name},
+				})
+			}
 		}
 		if !matched {
 			return nil, fmt.Errorf("engine: %s.* matches no columns", p.StarTable)
@@ -358,9 +369,13 @@ func outputColumn(p sqlparser.SelectExpr, in *sqltypes.Schema) sqltypes.Column {
 }
 
 // OutputSchema computes the result schema of a SELECT against this engine's
-// catalog without executing it (used when creating views).
+// catalog without executing it (used when creating views). It makes no
+// remote round trip: foreign scans are planned with a placeholder
+// estimate. The estimates may then order the joins differently from the
+// view's execution-time plan, which is harmless because the output
+// columns follow the SELECT list and stars expand in FROM order.
 func (e *Engine) OutputSchema(sel *sqlparser.Select) (*sqltypes.Schema, error) {
-	node, err := e.planSelect(sel)
+	node, err := e.planSelect(sel, true)
 	if err != nil {
 		return nil, err
 	}

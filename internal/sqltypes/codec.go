@@ -2,6 +2,7 @@ package sqltypes
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -85,12 +86,30 @@ func AppendRow(dst []byte, r Row) []byte {
 	return dst
 }
 
+// ErrCorrupt marks an encoding whose element count exceeds what the
+// remaining bytes could hold. Decoders check counts before allocating, so
+// hostile input yields this error instead of an unbounded allocation.
+var ErrCorrupt = errors.New("corrupt encoding")
+
+// Smallest encodings, used to bound decoded counts by the bytes that
+// remain: a text value is a tag plus a 4-byte length, a schema column two
+// 4-byte string lengths plus a type byte.
+const (
+	minTextValueBytes    = 5
+	minSchemaColumnBytes = 9
+)
+
 // DecodeRow decodes one row from b, returning the row and bytes consumed.
 func DecodeRow(b []byte) (Row, int, error) {
 	if len(b) < 4 {
 		return nil, 0, fmt.Errorf("sqltypes: truncated row header")
 	}
 	n := int(binary.LittleEndian.Uint32(b[:4]))
+	if n > len(b)-4 {
+		// Every value takes at least its one-byte tag: a count the payload
+		// cannot hold is corrupt, and must not size an allocation.
+		return nil, 0, fmt.Errorf("sqltypes: row claims %d columns in %d bytes: %w", n, len(b)-4, ErrCorrupt)
+	}
 	off := 4
 	row := make(Row, n)
 	for i := 0; i < n; i++ {
@@ -130,6 +149,9 @@ func DecodeRowText(b []byte) (Row, int, error) {
 		return nil, 0, fmt.Errorf("sqltypes: truncated text row header")
 	}
 	n := int(binary.LittleEndian.Uint32(b[:4]))
+	if n > (len(b)-4)/minTextValueBytes {
+		return nil, 0, fmt.Errorf("sqltypes: text row claims %d columns in %d bytes: %w", n, len(b)-4, ErrCorrupt)
+	}
 	off := 4
 	row := make(Row, n)
 	for i := 0; i < n; i++ {
@@ -208,6 +230,9 @@ func DecodeSchema(b []byte) (*Schema, int, error) {
 		return nil, 0, fmt.Errorf("sqltypes: truncated schema header")
 	}
 	n := int(binary.LittleEndian.Uint32(b[:4]))
+	if n > (len(b)-4)/minSchemaColumnBytes {
+		return nil, 0, fmt.Errorf("sqltypes: schema claims %d columns in %d bytes: %w", n, len(b)-4, ErrCorrupt)
+	}
 	off := 4
 	s := &Schema{Columns: make([]Column, n)}
 	for i := 0; i < n; i++ {
@@ -221,9 +246,6 @@ func DecodeSchema(b []byte) (*Schema, int, error) {
 			return nil, 0, err
 		}
 		off += sz
-		if off >= len(b)+1 && off > len(b) {
-			return nil, 0, fmt.Errorf("sqltypes: truncated schema column type")
-		}
 		if off >= len(b) {
 			return nil, 0, fmt.Errorf("sqltypes: truncated schema column type")
 		}

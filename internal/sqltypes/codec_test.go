@@ -1,6 +1,7 @@
 package sqltypes
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -228,5 +229,27 @@ func TestFormatRows(t *testing.T) {
 	want := "id | name \n---+------\n1  | alpha\n22 | b    \n"
 	if out != want {
 		t.Errorf("FormatRows:\n%q\nwant:\n%q", out, want)
+	}
+}
+
+// TestDecodeHostileCounts feeds element counts the payload cannot hold.
+// The 9-byte row once made DecodeRow allocate 0x30303030 values and kill
+// the process with a fatal out-of-memory error; every decoder must answer
+// with ErrCorrupt instead.
+func TestDecodeHostileCounts(t *testing.T) {
+	hostile := []byte("0000\x00\x00\x00\x01\x01")
+	if _, _, err := DecodeRow(hostile); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("DecodeRow: err = %v, want ErrCorrupt", err)
+	}
+	if _, _, err := DecodeRowText(hostile); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("DecodeRowText: err = %v, want ErrCorrupt", err)
+	}
+	if _, _, err := DecodeSchema(hostile); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("DecodeSchema: err = %v, want ErrCorrupt", err)
+	}
+	// A count that fits exactly is still accepted: one NULL per column.
+	exact := AppendRow(nil, Row{Null, Null, Null})
+	if row, n, err := DecodeRow(exact); err != nil || n != len(exact) || len(row) != 3 {
+		t.Errorf("DecodeRow(3 nulls) = %v, %d, %v", row, n, err)
 	}
 }

@@ -10,6 +10,15 @@ import (
 func floatBits(f float64) uint64     { return math.Float64bits(f) }
 func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }
 
+// Smallest encodings of one counted element, used to bound a decoded count
+// by the bytes that remain: a column-stats entry is a name length, the
+// distinct count, the null fraction and two one-byte value tags; a row is
+// its 4-byte column count.
+const (
+	minColumnStatsBytes = 4 + 8 + 8 + 1 + 1
+	minRowBytes         = 4
+)
+
 // encodeStats serializes a TableStats payload.
 func encodeStats(st *engine.TableStats) []byte {
 	var b []byte
@@ -33,7 +42,7 @@ func decodeStats(payload []byte) (*engine.TableStats, error) {
 		RowCount:    int64(r.uint64()),
 		AvgRowBytes: r.float64(),
 	}
-	n := int(r.uint64())
+	n := r.count(minColumnStatsBytes)
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -173,7 +182,7 @@ func encodeRowBatch(rows []sqltypes.Row, enc engine.Encoding) ([]byte, byte) {
 // decodeRowBatch parses a row batch payload of the given frame type.
 func decodeRowBatch(payload []byte, typ byte) ([]sqltypes.Row, error) {
 	r := &reader{b: payload}
-	n := int(r.uint64())
+	n := r.count(minRowBytes)
 	if r.err != nil {
 		return nil, r.err
 	}

@@ -12,6 +12,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"xdb/internal/sqltypes"
 )
 
 // frame types, client -> server.
@@ -132,6 +134,21 @@ func (r *reader) string32() string {
 	s := string(r.b[r.off : r.off+n])
 	r.off += n
 	return s
+}
+
+// count reads a uint64 element count and fails the reader when the
+// remaining payload cannot hold that many elements of at least minBytes
+// each — a corrupt count must never size an allocation.
+func (r *reader) count(minBytes int) int {
+	v := r.uint64()
+	if r.err != nil {
+		return 0
+	}
+	if v > uint64((len(r.b)-r.off)/minBytes) {
+		r.err = fmt.Errorf("wire: payload claims %d elements in %d bytes: %w", v, len(r.b)-r.off, sqltypes.ErrCorrupt)
+		return 0
+	}
+	return int(v)
 }
 
 func (r *reader) fail() {

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"testing"
 
@@ -157,5 +158,27 @@ func TestRowBatchCodecBothEncodings(t *testing.T) {
 		if typ != wantType {
 			t.Errorf("frame type = %d", typ)
 		}
+	}
+}
+
+// TestDecodeHostileCounts checks that a corrupt element count in a stats,
+// sample or row-batch payload fails with sqltypes.ErrCorrupt before it can
+// size an allocation.
+func TestDecodeHostileCounts(t *testing.T) {
+	huge := appendUint64(nil, 1<<62)
+	if _, err := decodeRowBatch(huge, msgRows); !errors.Is(err, sqltypes.ErrCorrupt) {
+		t.Errorf("decodeRowBatch: err = %v, want ErrCorrupt", err)
+	}
+	if _, err := decodeRowBatch(append(appendUint64(nil, 1), "0000\x00\x00\x00\x01\x01"...), msgRows); !errors.Is(err, sqltypes.ErrCorrupt) {
+		t.Errorf("decodeRowBatch(hostile row): err = %v, want ErrCorrupt", err)
+	}
+	stats := appendFloat64(appendUint64(nil, 10), 8)
+	stats = appendUint64(stats, 1<<63)
+	if _, err := decodeStats(stats); !errors.Is(err, sqltypes.ErrCorrupt) {
+		t.Errorf("decodeStats: err = %v, want ErrCorrupt", err)
+	}
+	sample := append(appendUint64(appendUint64(appendUint64(nil, 1), 1), 1), stats...)
+	if _, err := decodeSampleRes(sample); !errors.Is(err, sqltypes.ErrCorrupt) {
+		t.Errorf("decodeSampleRes: err = %v, want ErrCorrupt", err)
 	}
 }
